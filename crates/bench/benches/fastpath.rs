@@ -1,14 +1,13 @@
-//! Criterion benchmarks for the PR-4 fast paths: word/SIMD GF(2^8)
-//! kernels, Reed-Solomon encode across code shapes, and simulator engine
-//! throughput against the frozen pre-PR baseline engine.
+//! Criterion benchmarks for the fast paths: word/SIMD GF(2^8) kernels
+//! against their in-tree reference kernels, Reed-Solomon encode across
+//! code shapes, and simulator engine throughput at one thread.
 //!
-//! The authoritative before/after numbers live in `BENCH_PR<N>.json`
-//! (emitted by the `perf_report` binary, which interleaves A/B batches to
-//! cancel host-speed drift); these criterion benches are for local
+//! The authoritative numbers live in `BENCH_PR<N>.json` (emitted by the
+//! `perf_report` binary, which pins each engine run's schedule and holds
+//! it to an absolute floor); these criterion benches are for local
 //! iteration and regression spotting with statistics attached.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use oceanstore_bench::baseline;
 use oceanstore_erasure::gf256;
 use oceanstore_erasure::rs::ReedSolomon;
 use oceanstore_sim::engine::{Context, Message, Protocol, Simulator};
@@ -102,38 +101,6 @@ impl Protocol for Gossip {
     }
 }
 
-/// The same protocol against the frozen pre-PR baseline engine.
-struct BaselineGossip {
-    id: usize,
-    rounds_left: u32,
-    bytes_seen: u64,
-}
-
-impl baseline::Protocol for BaselineGossip {
-    type Msg = Blob;
-
-    fn on_start(&mut self, ctx: &mut baseline::Context<'_, Blob>) {
-        ctx.set_timer(SimDuration::from_millis(PERIOD_MS), 0);
-    }
-
-    fn on_message(&mut self, _ctx: &mut baseline::Context<'_, Blob>, _from: NodeId, msg: Blob) {
-        self.bytes_seen += msg.0.len() as u64 + msg.0[0] as u64;
-    }
-
-    fn on_timer(&mut self, ctx: &mut baseline::Context<'_, Blob>, _tag: u64) {
-        if self.rounds_left == 0 {
-            return;
-        }
-        self.rounds_left -= 1;
-        let me = self.id;
-        ctx.broadcast(
-            (0..MESH_N).filter(move |&i| i != me).map(NodeId),
-            Blob(vec![0xAB; FRAGMENT_BYTES]),
-        );
-        ctx.set_timer(SimDuration::from_millis(PERIOD_MS), 0);
-    }
-}
-
 const GRID_SIDE: usize = 16;
 const GRID_N: usize = GRID_SIDE * GRID_SIDE;
 const GRID_PERIODS_MS: [u64; 4] = [5, 11, 17, 29];
@@ -183,54 +150,12 @@ impl Protocol for GridTicker {
     }
 }
 
-struct BaselineGridTicker {
-    id: usize,
-    fires: u64,
-    horizon: SimTime,
-}
-
-impl baseline::Protocol for BaselineGridTicker {
-    type Msg = Blob;
-
-    fn on_start(&mut self, ctx: &mut baseline::Context<'_, Blob>) {
-        for tag in 0..4 {
-            ctx.set_timer(
-                SimDuration::from_micros(GRID_PERIODS_MS[tag as usize] * 1000 + self.id as u64),
-                tag,
-            );
-        }
-        for i in 0..PARKED_PER_NODE {
-            ctx.set_timer(
-                SimDuration::from_secs(30 + i) + SimDuration::from_micros(self.id as u64),
-                100 + i,
-            );
-        }
-    }
-
-    fn on_message(&mut self, _ctx: &mut baseline::Context<'_, Blob>, _from: NodeId, _msg: Blob) {}
-
-    fn on_timer(&mut self, ctx: &mut baseline::Context<'_, Blob>, tag: u64) {
-        if tag >= 100 {
-            return;
-        }
-        self.fires += 1;
-        if self.fires.is_multiple_of(4) {
-            let to = NodeId((self.id + 1 + (self.fires as usize % 3)) % GRID_N);
-            ctx.send(to, Blob(vec![0x5A; 16]));
-        }
-        let d = SimDuration::from_millis(GRID_PERIODS_MS[tag as usize]);
-        if ctx.now() + d <= self.horizon {
-            ctx.set_timer(d, tag);
-        }
-    }
-}
-
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine/events_per_sec");
 
     let horizon =
         SimTime::ZERO + SimDuration::from_millis((MESH_ROUNDS as u64 + 2) * PERIOD_MS);
-    g.bench_function("full_mesh_gossip/production", |b| {
+    g.bench_function("full_mesh_gossip", |b| {
         b.iter(|| {
             let nodes: Vec<Gossip> = (0..MESH_N)
                 .map(|id| Gossip { id, rounds_left: MESH_ROUNDS, bytes_seen: 0 })
@@ -245,40 +170,15 @@ fn bench_engine(c: &mut Criterion) {
             sim.events_processed()
         })
     });
-    g.bench_function("full_mesh_gossip/baseline", |b| {
-        b.iter(|| {
-            let nodes: Vec<BaselineGossip> = (0..MESH_N)
-                .map(|id| BaselineGossip { id, rounds_left: MESH_ROUNDS, bytes_seen: 0 })
-                .collect();
-            let mut sim = baseline::Simulator::new(
-                Topology::full_mesh(MESH_N, SimDuration::from_millis(2)),
-                nodes,
-                42,
-            );
-            sim.start();
-            sim.run_until(horizon);
-            sim.events_processed()
-        })
-    });
 
     let horizon = SimTime::ZERO + SimDuration::from_millis(300);
     let topo = Topology::grid(GRID_SIDE, GRID_SIDE, SimDuration::from_millis(1));
     topo.warm_dist();
-    g.bench_function("grid_parked_timers/production", |b| {
+    g.bench_function("grid_parked_timers", |b| {
         b.iter(|| {
             let nodes: Vec<GridTicker> =
                 (0..GRID_N).map(|id| GridTicker { id, fires: 0, horizon }).collect();
             let mut sim = Simulator::new(topo.clone(), nodes, 7);
-            sim.start();
-            sim.run_until(horizon);
-            sim.events_processed()
-        })
-    });
-    g.bench_function("grid_parked_timers/baseline", |b| {
-        b.iter(|| {
-            let nodes: Vec<BaselineGridTicker> =
-                (0..GRID_N).map(|id| BaselineGridTicker { id, fires: 0, horizon }).collect();
-            let mut sim = baseline::Simulator::new(topo.clone(), nodes, 7);
             sim.start();
             sim.run_until(horizon);
             sim.events_processed()

@@ -9,11 +9,12 @@
 //!
 //! Flags:
 //! - `--small`: reduced workload sizes (CI smoke preset).
-//! - `--check`: exit nonzero unless the PR's speedup bars hold
-//!   (gf256 ≥ 4x, RS encode ≥ 3x, engine events/sec ≥ 1.5x,
-//!   Schnorr batch-32 verify ≥ 3x, tier commit throughput ≥ 1.1x,
+//! - `--check`: exit nonzero unless the PR's bars hold: speedup bars
+//!   (gf256 ≥ 4x, RS encode ≥ 3x, Schnorr batch-32 verify ≥ 3x,
 //!   shard-sweep scale-out ≥ 2x over the single-ring tier, and — on
-//!   hosts with ≥ 8 cores — the 8-thread PDES sweep ≥ 2x over 1 thread).
+//!   hosts with ≥ 8 cores — the 8-thread PDES sweep ≥ 2x over 1 thread),
+//!   plus absolute floors on the full-preset engine events/sec and tier
+//!   commit throughput rows (see `FLOORS`).
 //! - `--min-gf256-mbps <N>`: absolute throughput floor for the fast
 //!   gf256 kernel (generous; catches catastrophic regressions in CI
 //!   without being sensitive to runner speed).
@@ -25,15 +26,15 @@
 //!   away an earlier PR's win.
 //!
 //! The "before" column is measured in the same process by the same harness:
-//! `mul_acc_slice_ref`/`encode_ref`/`reconstruct_ref`/`verify_ref` are the
-//! pre-PR kernels kept in-tree, `oceanstore_bench::baseline` is a frozen
-//! copy of the pre-PR engine, and `oceanstore_bench::baseline_pbft` is a
-//! frozen copy of the pre-PR consensus stack. Later PRs append
-//! `BENCH_PR<N>.json` files with the same schema.
+//! `mul_acc_slice_ref`/`encode_ref`/`reconstruct_ref`/`verify_ref` are
+//! reference kernels kept in-tree (their tests compare against them). The
+//! engine and consensus rows have no in-process "before": they time the
+//! production code alone, pin the exact schedule they ran, and `--check`
+//! holds them to absolute floors. Later PRs append `BENCH_PR<N>.json`
+//! files with the same schema.
 
 use std::time::Instant;
 
-use oceanstore_bench::{baseline, baseline_pbft};
 use oceanstore_crypto::schnorr::{self, KeyPair, PublicKey, Signature};
 use oceanstore_erasure::gf256;
 use oceanstore_erasure::rs::ReedSolomon;
@@ -98,8 +99,43 @@ impl Bench {
     }
 }
 
-/// Calls `f` repeatedly until ~`target_ms` of wall time is spent and
-/// returns the mean seconds per call. One untimed warm-up call first.
+/// Timing batches per side in [`ab_time_per_call`] and [`time_per_call`].
+const ROUNDS: usize = 4;
+
+/// Calls `f` once untimed, then doubles the batch until it fills half of
+/// `batch_ms`; returns the iteration count that fills `batch_ms`.
+fn calibrate(batch_ms: u64, f: &mut dyn FnMut()) -> u64 {
+    f(); // warm-up
+    let mut iters = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        let dt = start.elapsed();
+        if dt.as_millis() as u64 >= batch_ms / 2 {
+            let per = (dt.as_secs_f64() / iters as f64).max(1e-9);
+            return ((batch_ms as f64 / 1e3 / per) as u64).max(1);
+        }
+        iters *= 2;
+    }
+}
+
+/// Best per-call seconds of `f` over [`ROUNDS`] batches spanning about
+/// `target_ms` in total; the minimum rejects transient stalls.
+fn time_per_call(target_ms: u64, mut f: impl FnMut()) -> f64 {
+    let iters = calibrate((target_ms / ROUNDS as u64).max(20), &mut f);
+    (0..ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() / iters as f64
+        })
+        .fold(f64::MAX, f64::min)
+}
+
 /// Times `a` (before) and `b` (after) in alternating batches, returning
 /// each side's best per-call seconds. Interleaving keeps slow machine-speed
 /// drift (frequency scaling, noisy-neighbour vCPUs, burst credits) from
@@ -109,23 +145,6 @@ impl Bench {
 /// that moved by 50% purely from host-speed drift between the two
 /// measurement windows.
 fn ab_time_per_call(target_ms: u64, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    const ROUNDS: usize = 4;
-    fn calibrate(batch_ms: u64, f: &mut dyn FnMut()) -> u64 {
-        f(); // warm-up
-        let mut iters = 1u64;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let dt = start.elapsed();
-            if dt.as_millis() as u64 >= batch_ms / 2 {
-                let per = (dt.as_secs_f64() / iters as f64).max(1e-9);
-                return ((batch_ms as f64 / 1e3 / per) as u64).max(1);
-            }
-            iters *= 2;
-        }
-    }
     let batch_ms = (target_ms / ROUNDS as u64).max(20);
     let ia = calibrate(batch_ms, &mut a);
     let ib = calibrate(batch_ms, &mut b);
@@ -290,52 +309,39 @@ fn bench_schnorr(small: bool) -> Vec<Bench> {
 
 // ------------------------------------------------------------ consensus --
 
+/// `(committed, total bytes, events)` of the consensus row's run.
+const CONSENSUS_SCHEDULE_FULL: (usize, u64, u64) = (8, 312_928, 832);
+const CONSENSUS_SCHEDULE_SMALL: (usize, u64, u64) = (3, 117_348, 312);
+
 /// Macro end-to-end bar: committed updates per second of wall clock
-/// through an m=2 (7-replica) PBFT tier under fragment-sized payloads.
-/// The "before" side is the frozen `baseline_pbft` stack (reference
-/// crypto, per-message sequential verification, double-sign wart); the
-/// "after" side is the production stack (comb-table signing, verify
-/// cache and batch drain). Both run on the production engine and must
-/// process an identical message schedule, so the ratio isolates
-/// protocol-layer crypto cost.
+/// through an m=2 (7-replica) PBFT tier under fragment-sized payloads, on
+/// the production stack (comb-table signing, verify cache and batch
+/// drain). The run's schedule — commits, bytes, events — is pinned, so the
+/// row always times the same work; `--check` holds it to an absolute
+/// floor.
 fn bench_consensus(small: bool) -> Vec<Bench> {
     let m = 2;
     let wan = SimDuration::from_millis(10);
     let payload = 4096;
     let count = if small { 3 } else { 8 };
 
-    let run_new = || {
+    let run = || {
         let mut ts = oceanstore_consensus::build_tier(m, wan, 5);
         let run = oceanstore_consensus::run_updates(&mut ts, payload, count);
         (run.latencies.len(), run.total_bytes, ts.sim.events_processed())
     };
-    let run_old = || {
-        let mut ts = baseline_pbft::build_tier(m, wan, 5);
-        let run = baseline_pbft::run_updates(&mut ts, payload, count);
-        (run.latencies.len(), run.total_bytes, ts.sim.events_processed())
-    };
-    let new = run_new();
-    let old = run_old();
-    assert_eq!(
-        new, old,
-        "frozen baseline tier diverged from the production tier's schedule"
-    );
+    let pinned = if small { CONSENSUS_SCHEDULE_SMALL } else { CONSENSUS_SCHEDULE_FULL };
+    assert_eq!(run(), pinned, "the consensus tier's schedule moved");
 
     let target = if small { 200 } else { 600 };
-    let (t_old, t_new) = ab_time_per_call(
-        target * 2,
-        || {
-            run_old();
-        },
-        || {
-            run_new();
-        },
-    );
+    let t = time_per_call(target * 2, || {
+        run();
+    });
     vec![Bench {
         name: "consensus/committed_updates_per_sec/m2_tier7_4k",
         unit: "updates/s",
-        before: Some(count as f64 / t_old),
-        after: count as f64 / t_new,
+        before: None,
+        after: count as f64 / t,
     }]
 }
 
@@ -348,7 +354,7 @@ fn bench_consensus(small: bool) -> Vec<Bench> {
 /// between batches. The second is the point of the checkpoint subsystem —
 /// before it, a run this long retained all 100k slots on every replica;
 /// now the peak must sit near `window + interval` regardless of horizon.
-/// There is no frozen "before" side: the baseline stack cannot run this
+/// There is no "before" side: a stack without checkpoints cannot run this
 /// workload in bounded memory, which is the row's reason to exist.
 fn bench_long_horizon(small: bool) -> Vec<Bench> {
     let slots: usize = if small { 2_000 } else { 100_000 };
@@ -495,11 +501,15 @@ fn bench_store(small: bool) -> Vec<Bench> {
 
 // --------------------------------------------------------------- engine --
 
+/// `(events, messages)` of the gossip and grid engine runs, per preset.
+const ENGINE_SCHEDULES_FULL: [(u64, u64); 2] = [(115_224, 110_400), (978_747, 195_584)];
+const ENGINE_SCHEDULES_SMALL: [(u64, u64); 2] = [(23_064, 22_080), (192_315, 37_889)];
+
 /// Gossip payload, sized like an erasure-coded fragment (a 64 KiB object
 /// at rate 1/2 over 32 fragments): dissemination-tree multicast of
 /// fragments is the broadcast pattern the engine's shared-payload
-/// delivery exists for, and at this size the baseline's per-recipient
-/// deep clones cost real memory traffic.
+/// delivery exists for, and at this size per-recipient deep clones would
+/// cost real memory traffic.
 #[derive(Debug, Clone)]
 struct Blob(Vec<u8>);
 
@@ -568,44 +578,13 @@ impl Protocol for Gossip {
     }
 }
 
-/// The same gossip protocol, written against the baseline engine. Logic
-/// must stay line-for-line equivalent to [`Gossip`].
-struct BaselineGossip {
-    id: usize,
-    n: usize,
-    rounds_left: u32,
-    bytes_seen: u64,
-}
-
-impl baseline::Protocol for BaselineGossip {
-    type Msg = Blob;
-
-    fn on_start(&mut self, ctx: &mut baseline::Context<'_, Blob>) {
-        ctx.set_timer(SimDuration::from_millis(GOSSIP_PERIOD_MS), 0);
-    }
-
-    fn on_message(&mut self, _ctx: &mut baseline::Context<'_, Blob>, _from: NodeId, msg: Blob) {
-        self.bytes_seen += msg.0.len() as u64 + msg.0[0] as u64;
-    }
-
-    fn on_timer(&mut self, ctx: &mut baseline::Context<'_, Blob>, _tag: u64) {
-        if self.rounds_left == 0 {
-            return;
-        }
-        self.rounds_left -= 1;
-        let me = self.id;
-        ctx.broadcast((0..self.n).filter(move |&i| i != me).map(NodeId), Blob(vec![0xAB; FRAGMENT_BYTES]));
-        ctx.set_timer(SimDuration::from_millis(GOSSIP_PERIOD_MS), 0);
-    }
-}
-
 /// Timer-heavy grid workload: four staggered periodic timers per node,
 /// sending a 16-byte message to a round-robin neighbour on every fourth
 /// fire (heartbeat timers mostly fire without acting) — plus
 /// [`PARKED_PER_NODE`] long-dated timeout timers per node that never fire
 /// inside the horizon. The parked population models what a real deployment
 /// carries (per-request retransmit timeouts, lease expirations, archival
-/// repair scans): it is dead weight that every baseline heap sift wades
+/// repair scans): it is dead weight that a single event heap would sift
 /// through, while the wheel parks it in a high level and never touches it.
 struct GridTicker {
     id: usize,
@@ -652,54 +631,17 @@ impl Protocol for GridTicker {
     }
 }
 
-struct BaselineGridTicker {
-    id: usize,
-    fires: u64,
-    horizon: SimTime,
-}
-
-impl baseline::Protocol for BaselineGridTicker {
-    type Msg = Blob;
-
-    fn on_start(&mut self, ctx: &mut baseline::Context<'_, Blob>) {
-        for tag in 0..4 {
-            ctx.set_timer(
-                SimDuration::from_micros(GRID_PERIODS_MS[tag as usize] * 1000 + self.id as u64),
-                tag,
-            );
-        }
-        for i in 0..PARKED_PER_NODE {
-            ctx.set_timer(SimDuration::from_secs(30 + i) + SimDuration::from_micros(self.id as u64), 100 + i);
-        }
-    }
-
-    fn on_message(&mut self, _ctx: &mut baseline::Context<'_, Blob>, _from: NodeId, _msg: Blob) {}
-
-    fn on_timer(&mut self, ctx: &mut baseline::Context<'_, Blob>, tag: u64) {
-        if tag >= 100 {
-            return; // a parked timeout expired: horizon outgrew the park
-        }
-        self.fires += 1;
-        if self.fires.is_multiple_of(4) {
-            let to = NodeId((self.id + 1 + (self.fires as usize % 3)) % GRID_N);
-            ctx.send(to, Blob(vec![0x5A; 16]));
-        }
-        let d = SimDuration::from_millis(GRID_PERIODS_MS[tag as usize]);
-        if ctx.now() + d <= self.horizon {
-            ctx.set_timer(d, tag);
-        }
-    }
-}
-
+/// Engine throughput at one thread on two shapes: full-mesh fragment
+/// gossip (broadcast-heavy) and a 32x32 grid of ticking nodes with 128k
+/// parked timers (timer-heavy). Each run's event and message counts are
+/// pinned, so the rows always time the same schedule; `--check` holds
+/// them to absolute floors.
 fn bench_engine(small: bool) -> Vec<Bench> {
-    let mut out = Vec::new();
-
-    // Full-mesh gossip: broadcast-heavy.
+    let target = if small { 150 } else { 500 };
     let n = 24;
     let rounds = if small { 40 } else { 200 };
     let horizon = SimTime::ZERO + SimDuration::from_millis((rounds as u64 + 2) * GOSSIP_PERIOD_MS);
-
-    let run_new = || {
+    let gossip = || {
         let nodes: Vec<Gossip> =
             (0..n).map(|id| Gossip { id, n, rounds_left: rounds, bytes_seen: 0 }).collect();
         let mut sim =
@@ -708,88 +650,36 @@ fn bench_engine(small: bool) -> Vec<Bench> {
         sim.run_until(horizon);
         (sim.events_processed(), sim.stats().total_messages())
     };
-    let run_old = || {
-        let nodes: Vec<BaselineGossip> =
-            (0..n).map(|id| BaselineGossip { id, n, rounds_left: rounds, bytes_seen: 0 }).collect();
-        let mut sim = baseline::Simulator::new(
-            Topology::full_mesh(n, SimDuration::from_millis(2)),
-            nodes,
-            42,
-        );
-        sim.start();
-        sim.run_until(horizon);
-        (sim.events_processed(), sim.stats().total_messages())
-    };
-    // The two engines must process the same schedule; anything else means
-    // the baseline copy has drifted and its numbers are meaningless.
-    let (ev_new, msgs_new) = run_new();
-    let (ev_old, msgs_old) = run_old();
-    assert_eq!(
-        (ev_new, msgs_new),
-        (ev_old, msgs_old),
-        "baseline engine diverged from production engine on the gossip workload"
-    );
 
-    let target = if small { 150 } else { 500 };
-    let (t_old, t_new) = ab_time_per_call(
-        target * 2,
-        || {
-            run_old();
-        },
-        || {
-            run_new();
-        },
-    );
-    out.push(Bench {
-        name: "engine/events_per_sec/full_mesh_gossip_n24",
-        unit: "events/s",
-        before: Some(ev_old as f64 / t_old),
-        after: ev_new as f64 / t_new,
-    });
-
-    // 32x32 grid: timer-heavy. The topology is built and its Dijkstra
-    // caches warmed once, outside the timed region; each run clones the
-    // warmed graph so the measurement is the event loop, not 1024
-    // shortest-path sweeps both engines would pay identically.
-    let horizon =
-        SimTime::ZERO + SimDuration::from_millis(if small { 400 } else { 2000 });
+    // The grid topology is built and its Dijkstra caches warmed once,
+    // outside the timed region; each run clones the warmed graph so the
+    // measurement is the event loop, not 1024 shortest-path sweeps.
+    let grid_horizon = SimTime::ZERO + SimDuration::from_millis(if small { 400 } else { 2000 });
     let topo = Topology::grid(GRID_SIDE, GRID_SIDE, SimDuration::from_millis(1));
     topo.warm_dist();
-    let run_new = || {
+    let grid = || {
         let nodes: Vec<GridTicker> =
-            (0..GRID_N).map(|id| GridTicker { id, fires: 0, horizon }).collect();
+            (0..GRID_N).map(|id| GridTicker { id, fires: 0, horizon: grid_horizon }).collect();
         let mut sim = Simulator::new(topo.clone(), nodes, 7);
         sim.start();
-        sim.run_until(horizon);
-        sim.events_processed()
+        sim.run_until(grid_horizon);
+        (sim.events_processed(), sim.stats().total_messages())
     };
-    let run_old = || {
-        let nodes: Vec<BaselineGridTicker> =
-            (0..GRID_N).map(|id| BaselineGridTicker { id, fires: 0, horizon }).collect();
-        let mut sim = baseline::Simulator::new(topo.clone(), nodes, 7);
-        sim.start();
-        sim.run_until(horizon);
-        sim.events_processed()
-    };
-    let ev_new = run_new();
-    let ev_old = run_old();
-    assert_eq!(ev_new, ev_old, "baseline engine diverged on the grid workload");
 
-    let (t_old, t_new) = ab_time_per_call(
-        target * 2,
-        || {
-            run_old();
-        },
-        || {
-            run_new();
-        },
-    );
-    out.push(Bench {
-        name: "engine/events_per_sec/grid_32x32_128k_pending_timers",
-        unit: "events/s",
-        before: Some(ev_old as f64 / t_old),
-        after: ev_new as f64 / t_new,
-    });
+    let mut out = Vec::new();
+    let rows = [
+        ("engine/events_per_sec/full_mesh_gossip_n24", &gossip as &dyn Fn() -> (u64, u64)),
+        ("engine/events_per_sec/grid_32x32_128k_pending_timers", &grid),
+    ];
+    for (i, (name, run)) in rows.into_iter().enumerate() {
+        let pinned = if small { ENGINE_SCHEDULES_SMALL[i] } else { ENGINE_SCHEDULES_FULL[i] };
+        let (events, msgs) = run();
+        assert_eq!((events, msgs), pinned, "{name}: the engine's schedule moved");
+        let t = time_per_call(target * 2, || {
+            run();
+        });
+        out.push(Bench { name, unit: "events/s", before: None, after: events as f64 / t });
+    }
     out
 }
 
@@ -1167,6 +1057,17 @@ fn diff_frozen(old_path: &str, new_path: &str) -> Vec<String> {
 
 // ----------------------------------------------------------------- main --
 
+/// `--check` floors for the full-preset rows that have no in-process
+/// "before": 0.8 × (the `--diff-frozen` tolerance) the median these rows
+/// measured on a shared 2-vCPU x86_64 host just before the frozen engine
+/// and consensus copies were deleted, over 16 runs interleaved with the
+/// new code (CHANGES.md lists them).
+const FLOORS: [(&str, f64); 3] = [
+    ("engine/events_per_sec/full_mesh_gossip_n24", 5_794_000.0),
+    ("engine/events_per_sec/grid_32x32_128k_pending_timers", 4_652_000.0),
+    ("consensus/committed_updates_per_sec/m2_tier7_4k", 5_114.0),
+];
+
 fn main() {
     let args = parse_args();
     if let Some((old, new)) = &args.diff_frozen {
@@ -1219,9 +1120,7 @@ fn main() {
         let mut bars = vec![
             ("gf256/mul_acc_slice", 4.0),
             ("rs/encode", 3.0),
-            ("engine/events_per_sec", 1.5),
             ("schnorr/verify/batch32", 3.0),
-            ("consensus/committed_updates_per_sec", 1.1),
             // rings1 is the baseline row (no "before"); the scale-out bar
             // applies to the sharded configurations only.
             ("workload/shard_sweep_committed_per_sec/rings4", 2.0),
@@ -1239,6 +1138,14 @@ fn main() {
                     Some(s) if s >= bar => {}
                     Some(s) => failures.push(format!("{}: {s:.2}x < required {bar}x", b.name)),
                     None => failures.push(format!("{}: no before measurement", b.name)),
+                }
+            }
+        }
+        if !args.small {
+            for (name, floor) in FLOORS {
+                let b = benches.iter().find(|b| b.name == name).expect("floored row ran");
+                if b.after < floor {
+                    failures.push(format!("{name}: {:.1} {} < floor {floor}", b.after, b.unit));
                 }
             }
         }

@@ -6,8 +6,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod baseline;
-pub mod baseline_pbft;
 pub mod fig6;
 pub mod s1_bloom;
 pub mod s2_plaxton;

@@ -22,16 +22,27 @@
 //!   and its byte accounting is folded into one
 //!   [`NetStats::record_multicast`] batch instead of n counter updates.
 //! * **Timer wheel** — timers live in a hierarchical wheel
-//!   ([`crate::wheel`]) instead of the delivery heap; [`Simulator::step`]
-//!   pops the global `(at, seq)` minimum across both structures, which is
-//!   exactly the order the single-heap engine produced.
+//!   ([`crate::wheel`]) instead of the delivery heap; each domain's loop
+//!   pops the `(at, seq)` minimum across both structures, which is exactly
+//!   the order a single heap would produce.
 //! * **Key-slab delivery queue** — the heap sifts compact 24-byte
 //!   `(at, seq, slab)` keys while the fat delivery bodies (sender,
 //!   destination, payload) sit still in a slab with a free list, so every
 //!   sift-up/sift-down moves three words instead of a whole `Event`.
 //! * **Pooled action buffers** — every callback writes into one reusable
-//!   scratch `Vec<Action>` owned by the simulator rather than a fresh
+//!   scratch `Vec<Action>` owned by its domain rather than a fresh
 //!   allocation per dispatch.
+//!
+//! # One event loop
+//!
+//! Every event — including [`Simulator::start`], [`Simulator::step`] and
+//! [`Simulator::with_node_ctx`] — runs through the window scheduler: a
+//! domain loop dispatches handlers (`dispatch_window`), routes their sends
+//! (`window_route`), and a barrier commit assigns the real seqs. A fresh
+//! simulator is one domain whose window spans each whole run and whose
+//! emissions take their real seqs on the spot; [`Simulator::set_threads`]
+//! splits it into conservative-PDES domains whose windows run in parallel
+//! and merge at the barrier in exact global order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -216,15 +227,6 @@ enum Payload<M> {
     Shared(Arc<M>),
 }
 
-impl<M> Payload<M> {
-    fn as_msg(&self) -> &M {
-        match self {
-            Payload::One(m) => m,
-            Payload::Shared(a) => a,
-        }
-    }
-}
-
 /// Heap key of one pending delivery: `(at µs, seq, slab index)`. Wrapped in
 /// [`Reverse`] so the `BinaryHeap` max-heap pops the earliest `(at, seq)`
 /// first, ties broken by insertion order for determinism. Seqs are unique,
@@ -240,10 +242,10 @@ struct DeliveryBody<M> {
     msg: Payload<M>,
 }
 
-/// The one next-event decision, shared by the sequential step loop and each
-/// parallel domain's window loop: the global `(at, seq)` minimum across a
-/// delivery queue and a timer wheel. Seqs are unique across both sources,
-/// so the two never tie. Returns `(at, seq, take_timer)`.
+/// The one next-event decision of every domain's loop: the `(at, seq)`
+/// minimum across a delivery queue and a timer wheel. Seqs are unique
+/// across both sources, so the two never tie. Returns
+/// `(at, seq, take_timer)`.
 fn peek_next(queue: &BinaryHeap<DeliveryKey>, timers: &mut TimerWheel) -> Option<(u64, u64, bool)> {
     let msg_key = queue.peek().map(|&Reverse((at, seq, _))| (at, seq));
     match (msg_key, timers.peek()) {
@@ -256,29 +258,6 @@ fn peek_next(queue: &BinaryHeap<DeliveryKey>, timers: &mut TimerWheel) -> Option
             } else {
                 Some((m.0, m.1, false))
             }
-        }
-    }
-}
-
-/// Parks `body` in `slab` (reusing a free slot LIFO) and returns the slot
-/// for the compact heap key. Shared by the global queue and the per-domain
-/// queues so both sides keep identical slab semantics.
-fn park_delivery<M>(
-    slab: &mut Vec<Option<DeliveryBody<M>>>,
-    free: &mut Vec<u32>,
-    body: DeliveryBody<M>,
-) -> u32 {
-    match free.pop() {
-        Some(slot) => {
-            debug_assert!(slab[slot as usize].is_none());
-            slab[slot as usize] = Some(body);
-            slot
-        }
-        None => {
-            let slot = u32::try_from(slab.len())
-                .expect("more than u32::MAX simultaneous in-flight deliveries");
-            slab.push(Some(body));
-            slot
         }
     }
 }
@@ -331,7 +310,7 @@ fn drop_coin(drop_seed: u64, link: (u32, u32), ctr: u64, salt: u64) -> f64 {
 /// this machinery. Counters are keyed by the *directed* link: every attempt
 /// on `from → to` happens while dispatching `from`, i.e. inside `from`'s
 /// domain, so a directed counter advances in domain-local order — which for
-/// a single sender is exactly the sequential global order restricted to its
+/// a single sender is exactly the global order restricted to its
 /// dispatches. (An undirected key would be shared by two domains and race.)
 fn counter_drop(
     ctrs: &mut HashMap<(u32, u32), u64>,
@@ -364,12 +343,13 @@ fn counter_drop(
     None
 }
 
-/// One *seq-consuming* emission logged by a window dispatch, in action
-/// order, replayed at the barrier to assign real seqs exactly as the
-/// sequential engine would have. Dropped sends consume no seq and are
-/// tallied thread-side in the domain accumulator, so they produce no entry;
+/// One *seq-consuming* emission logged by a multi-domain window dispatch,
+/// in action order, replayed at the barrier to assign real seqs in exact
+/// global dispatch order. Dropped sends consume no seq and are tallied
+/// thread-side in the domain accumulator, so they produce no entry;
 /// multicasts are flattened to one entry per surviving recipient (byte
-/// accounting for the whole fan-out also happens thread-side).
+/// accounting for the whole fan-out also happens thread-side). A
+/// one-domain window logs nothing: its provisional seqs are already real.
 #[derive(Debug)]
 enum Emission<M> {
     /// Executed inside this window under a provisional key: consumes one
@@ -396,9 +376,10 @@ enum Step<M> {
 }
 
 /// One window dispatch that emitted something: the dispatched event's key
-/// (provisional iff `seq >= seq_base`) plus its slice of the domain's
-/// emission log. Zero-emission dispatches need no record — they consume no
-/// seqs and nothing downstream orders against them.
+/// (provisional iff `seq` lies in `[seq_base, seq_base + provisional)`)
+/// plus its slice of the domain's emission log. Zero-emission dispatches
+/// need no record — they consume no seqs and nothing downstream orders
+/// against them.
 #[derive(Debug, Clone, Copy)]
 struct DispatchRecord {
     at: u64,
@@ -410,15 +391,23 @@ struct DispatchRecord {
 
 /// One spatial domain of the conservative PDES scheduler: a contiguous
 /// node block with its own delivery queue, slab, and timer-wheel shard,
-/// plus the per-window logs the barrier commit consumes.
+/// plus the per-window logs the barrier commit consumes. Every pending
+/// event of the simulation lives in exactly one domain.
 struct Domain<M> {
     /// First node id in this domain's contiguous block.
     base: usize,
     /// One-past-last node id.
     end: usize,
+    /// Delivery *keys* `(at, seq, slab slot)`; the fat bodies sit still in
+    /// `slab` so heap sifts move three words instead of a whole delivery.
     queue: BinaryHeap<DeliveryKey>,
+    /// Delivery bodies indexed by the key's slab slot; `None` marks a free
+    /// slot awaiting reuse through `free`.
     slab: Vec<Option<DeliveryBody<M>>>,
+    /// Free slots in `slab`, reused LIFO for cache locality.
     free: Vec<u32>,
+    /// Timers share the seq space with deliveries, so the merged
+    /// `(at, seq)` order across `queue` and `wheel` is one total order.
     wheel: TimerWheel,
     /// Dispatches with emissions, in domain execution order.
     records: Vec<DispatchRecord>,
@@ -430,13 +419,16 @@ struct Domain<M> {
     /// full node count (recipients can live in other domains). Persists
     /// *across* windows and folds into the global [`NetStats`] once per
     /// epoch (`drain_epoch_stats`), so the barrier never pays a per-window
-    /// `O(nodes)` clear.
+    /// `O(nodes)` clear. Whenever one domain runs alone, the global stats
+    /// are swapped in here instead, so nothing needs folding.
     stats: NetStats,
     /// Attempt counters of directed links whose source node lives in this
-    /// domain, sharded out of [`Simulator::link_ctrs`] for lock-free
-    /// counter-mode drop decisions during windows.
+    /// domain, for lock-free counter-mode drop decisions during windows.
     link_ctrs: HashMap<(u32, u32), u64>,
     events_processed: u64,
+    /// Timestamp (µs) of the latest event this domain ran; the barrier
+    /// advances the global clock to the maximum.
+    last_at: u64,
     /// Count of intra-window seq-consuming emissions so far: the k-th one
     /// runs under provisional key `seq_base + k`.
     provisional: u64,
@@ -458,32 +450,34 @@ impl<M> Domain<M> {
             stats: NetStats::accumulator(n),
             link_ctrs: HashMap::new(),
             events_processed: 0,
+            last_at: 0,
             provisional: 0,
             actions: Vec::new(),
         }
     }
 
+    /// Parks `body` in the slab (reusing a free slot LIFO) and queues its
+    /// compact key.
     fn push_with_seq(&mut self, at: u64, seq: u64, body: DeliveryBody<M>) {
-        let slot = park_delivery(&mut self.slab, &mut self.free, body);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slab[slot as usize].is_none());
+                self.slab[slot as usize] = Some(body);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .expect("more than u32::MAX simultaneous in-flight deliveries");
+                self.slab.push(Some(body));
+                slot
+            }
+        };
         self.queue.push(Reverse((at, seq, slot)));
     }
 
     fn pending(&self) -> usize {
         self.queue.len() + self.wheel.len()
     }
-}
-
-/// Live sharded state of a parallel epoch.
-struct ParState<M> {
-    domains: Vec<Domain<M>>,
-    /// Domain index per node (contiguous blocks).
-    of_node: Vec<u32>,
-    /// Unscaled PDES lookahead in µs: the minimum cross-domain link
-    /// latency. `u64::MAX` when domains are network-isolated.
-    base_lookahead: u64,
-    /// Barrier-commit scratch, reused across windows (cleared each commit,
-    /// capacity kept) so the serial section allocates nothing steady-state.
-    merge: MergeScratch,
 }
 
 /// Reusable state of one barrier commit: per-domain record cursors, the
@@ -575,24 +569,29 @@ impl LoserTree {
 }
 
 /// The resolved `(at, seq)` merge key of `records[head]`, `None` when the
-/// run is exhausted. A provisional seq (`>= seq_base`) resolves through
-/// `real_of`: its emitter's record sits strictly earlier in the same run
-/// (the emitter dispatched first and logged at least that emission), so by
-/// the time a record becomes its run's head, its entry exists.
+/// run is exhausted. A provisional seq (in `[seq_base, seq_base +
+/// provisional)`) resolves through `real_of`: its emitter's record sits
+/// strictly earlier in the same run (the emitter dispatched first and
+/// logged at least that emission), so by the time a record becomes its
+/// run's head, its entry exists. Every other seq is already real.
 fn head_key(
     records: &[DispatchRecord],
     head: usize,
     seq_base: u64,
+    provisional: u64,
     real_of: &[u64],
 ) -> Option<(u64, u64)> {
     let r = records.get(head)?;
-    let seq = if r.seq >= seq_base { real_of[(r.seq - seq_base) as usize] } else { r.seq };
+    let seq = match r.seq.checked_sub(seq_base) {
+        Some(k) if k < provisional => real_of[k as usize],
+        _ => r.seq,
+    };
     Some((r.at, seq))
 }
 
-/// Coverage counters for the parallel scheduler: how much of the run
-/// actually executed under windows, and what fraction of epoch wall time
-/// the single-threaded barrier commit consumed.
+/// Coverage counters for the window scheduler: how many windows ran and
+/// how, how much of the run fell back to single-event steps, and what
+/// fraction of epoch wall time the barrier commit consumed.
 ///
 /// Deliberately *not* part of [`NetStats`]: stats are asserted bit-identical
 /// across thread counts, while coverage varies with the thread count and
@@ -601,18 +600,20 @@ fn head_key(
 pub struct ParCoverage {
     /// Windows fanned out across worker threads.
     pub windows_parallel: u64,
-    /// Windows run inline on the driver thread (below the spawn threshold).
-    /// Still windowed execution — identical schedule, no thread wake-ups.
+    /// Windows run on the driver thread: every one-domain window (the
+    /// whole `run_until` span at one thread), and multi-domain windows
+    /// below the spawn threshold. Identical schedule, no thread wake-ups.
     pub windows_inline: u64,
-    /// Times a `run_until` abandoned the windowed scheduler for the
-    /// sequential loop (no usable lookahead, or single-threaded config).
+    /// Times a run found no usable lookahead between its domains (a
+    /// zero-latency cross-domain link) and stepped events one at a time
+    /// in global order instead of running windows.
     pub fallback_entries: u64,
-    /// Events processed by the sequential loop inside those fallbacks.
+    /// Events processed by single steps inside those fallbacks.
     pub fallback_events: u64,
-    /// Wall-clock nanoseconds inside the single-threaded barrier commit.
+    /// Wall-clock nanoseconds inside the barrier commit.
     pub serial_nanos: u64,
-    /// Wall-clock nanoseconds across entire parallel epochs (windows,
-    /// barriers, and scheduling glue).
+    /// Wall-clock nanoseconds across entire epochs (windows, barriers,
+    /// and scheduling glue).
     pub epoch_nanos: u64,
 }
 
@@ -641,30 +642,69 @@ struct WindowEnv<'a> {
     window_end: u64,
     /// Global seq counter at window start; provisional keys start here.
     seq_base: u64,
+    /// The simulation is one domain: every emission is intra-domain and
+    /// the barrier merge has a single run, so provisional keys are already
+    /// the real seqs. Emissions go straight into the queue and wheel and
+    /// nothing is logged.
+    solo: bool,
 }
 
-/// Below this many pending events across all domains, a window runs inline
-/// on the driver thread: results are identical either way (domains are
-/// independent within a window), so threads are only worth their spawn cost
-/// when the window carries real work.
+/// Below this many pending events across all domains, a multi-domain
+/// window runs inline on the driver thread: results are identical either
+/// way (domains are independent within a window), so threads are only
+/// worth their spawn cost when the window carries real work.
 const PARALLEL_SPAWN_THRESHOLD: usize = 64;
 
+/// One window job: a domain plus disjoint `&mut` slices of the protocol
+/// state and per-node RNGs of its node block.
+type Job<'a, P> = (&'a mut Domain<<P as Protocol>::Msg>, &'a mut [P], &'a mut [ChaCha8Rng]);
+
+/// How a multi-domain window above the spawn threshold executes its jobs.
+/// A function pointer so the unbounded `run_until` can reach the threaded
+/// runner, whose `Send` bounds only [`Simulator::set_threads`] carries.
+type FanOut<P> = for<'a, 'e> fn(Vec<Job<'a, P>>, &WindowEnv<'e>, u64);
+
+/// Runs every job on the calling thread, in domain order.
+fn run_jobs_inline<P: Protocol>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>, budget: u64) {
+    for (dom, nodes, rngs) in jobs {
+        run_domain_window(dom, nodes, rngs, env, budget);
+    }
+}
+
+/// Runs one job per worker thread; the driver thread works the first
+/// domain instead of idling at the join.
+fn run_jobs_threaded<P>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>, budget: u64)
+where
+    P: Protocol + Send,
+    P::Msg: Send + Sync,
+{
+    std::thread::scope(|s| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        for (dom, nodes, rngs) in jobs {
+            s.spawn(move || run_domain_window(dom, nodes, rngs, env, budget));
+        }
+        if let Some((dom, nodes, rngs)) = first {
+            run_domain_window(dom, nodes, rngs, env, budget);
+        }
+    });
+}
+
 /// The discrete-event simulator driving one [`Protocol`] instance per node.
+///
+/// Every event runs through one loop: the window scheduler. A fresh
+/// simulator is a single domain whose window spans each whole
+/// [`Simulator::run_until`] bound; [`Simulator::set_threads`] re-partitions
+/// it into several domains that run conservative lookahead windows in
+/// parallel. Either way the observable schedule is the one global
+/// `(at, seq)` order.
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
     node_rngs: Vec<ChaCha8Rng>,
     topo: Topology,
     clock: SimTime,
-    /// Message delivery *keys* only; timers live in `timers`. Both share
-    /// the global `seq` counter, so the merged `(at, seq)` order is
-    /// identical to the historical single-heap order.
-    queue: BinaryHeap<DeliveryKey>,
-    /// Delivery bodies indexed by the key's slab slot; `None` marks a free
-    /// slot awaiting reuse through `delivery_free`.
-    delivery_slab: Vec<Option<DeliveryBody<P::Msg>>>,
-    /// Free slots in `delivery_slab`, reused LIFO for cache locality.
-    delivery_free: Vec<u32>,
-    timers: TimerWheel,
+    /// Next real seq: every surviving send, injection and armed timer takes
+    /// one, in global emission order, and ties at equal `at` break by it.
     seq: u64,
     stats: NetStats,
     down: Vec<bool>,
@@ -681,25 +721,24 @@ pub struct Simulator<P: Protocol> {
     /// from a shared RNG stream — so drop decisions commute with evaluation
     /// order and thread count.
     drop_seed: u64,
-    /// Per-directed-link attempt counters backing [`counter_drop`],
-    /// authoritative while no parallel epoch is live (sharded into each
-    /// [`Domain::link_ctrs`] otherwise).
-    link_ctrs: HashMap<(u32, u32), u64>,
     events_processed: u64,
-    /// Parallel-scheduler coverage counters; see [`ParCoverage`].
+    /// Window-scheduler coverage counters; see [`ParCoverage`].
     coverage: ParCoverage,
-    /// Reusable per-callback action buffer (dispatch is not reentrant).
-    scratch: Vec<Action<P::Msg>>,
-    /// Configured worker count for the conservative PDES scheduler; 1 =
-    /// the classic sequential loop.
+    /// Configured worker count; the number of domains.
     threads: usize,
-    /// Sharded per-domain event structures, present while a parallel epoch
-    /// is live. `None` means the global `queue`/`timers` are authoritative.
-    par: Option<ParState<P::Msg>>,
-    /// Monomorphized parallel driver, installed by [`Simulator::set_threads`]
-    /// (which carries the `Send` bounds the thread scope needs); `None`
-    /// keeps every run on the sequential path.
-    par_exec: Option<fn(&mut Simulator<P>, u64)>,
+    /// The domains owning every pending event, in node order.
+    domains: Vec<Domain<P::Msg>>,
+    /// Domain index per node (contiguous blocks).
+    of_node: Vec<u32>,
+    /// Unscaled PDES lookahead in µs: the minimum cross-domain link
+    /// latency. `u64::MAX` when there is one domain or the domains are
+    /// network-isolated.
+    base_lookahead: u64,
+    /// Barrier-commit scratch, reused across windows (cleared each commit,
+    /// capacity kept) so the serial section allocates nothing steady-state.
+    merge: MergeScratch,
+    /// Executor of multi-domain windows above the spawn threshold.
+    fan_out: FanOut<P>,
 }
 
 impl<P: Protocol> std::fmt::Debug for Simulator<P> {
@@ -707,7 +746,7 @@ impl<P: Protocol> std::fmt::Debug for Simulator<P> {
         f.debug_struct("Simulator")
             .field("nodes", &self.nodes.len())
             .field("clock", &self.clock)
-            .field("pending_events", &(self.queue.len() + self.timers.len()))
+            .field("pending_events", &self.pending_events())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -715,7 +754,7 @@ impl<P: Protocol> std::fmt::Debug for Simulator<P> {
 
 impl<P: Protocol> Simulator<P> {
     /// Creates a simulator over `topology` with one protocol instance per
-    /// node.
+    /// node, as a single domain.
     ///
     /// # Panics
     ///
@@ -726,15 +765,11 @@ impl<P: Protocol> Simulator<P> {
         let node_rngs = (0..n)
             .map(|i| ChaCha8Rng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1))))
             .collect();
-        Simulator {
+        let mut sim = Simulator {
             nodes,
             node_rngs,
             topo: topology,
             clock: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            delivery_slab: Vec::new(),
-            delivery_free: Vec::new(),
-            timers: TimerWheel::new(),
             seq: 0,
             stats: NetStats::new(n),
             down: vec![false; n],
@@ -743,14 +778,17 @@ impl<P: Protocol> Simulator<P> {
             link_drops: HashMap::new(),
             latency_factor: 1.0,
             drop_seed: mix64(seed ^ 0xD1B5_4A32_D192_ED03),
-            link_ctrs: HashMap::new(),
             events_processed: 0,
             coverage: ParCoverage::default(),
-            scratch: Vec::new(),
             threads: 1,
-            par: None,
-            par_exec: None,
-        }
+            domains: Vec::new(),
+            of_node: Vec::new(),
+            base_lookahead: u64::MAX,
+            merge: MergeScratch::default(),
+            fan_out: run_jobs_inline::<P>,
+        };
+        sim.partition(1);
+        sim
     }
 
     /// Calls [`Protocol::on_start`] on every live node.
@@ -775,20 +813,13 @@ impl<P: Protocol> Simulator<P> {
     /// Resets the byte counters (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        if let Some(par) = &mut self.par {
-            // Domain accumulators are drained at every epoch end, so they
-            // are empty between runs; clear defensively anyway.
-            for dom in &mut par.domains {
-                dom.stats.clear_for_reuse();
-            }
-        }
     }
 
-    /// Parallel-scheduler coverage counters accumulated since construction:
-    /// how many windows actually ran (parallel vs inline), how often the
-    /// scheduler fell back to the sequential loop, and the wall-clock split
-    /// between the serial barrier commit and whole epochs. All zeros on a
-    /// purely sequential simulator.
+    /// Window-scheduler coverage counters accumulated since construction:
+    /// how many windows ran (parallel vs inline — at one thread every
+    /// window is inline), how often a run fell back to single steps for
+    /// want of lookahead, and the wall-clock split between the barrier
+    /// commit and whole epochs.
     pub fn par_coverage(&self) -> ParCoverage {
         self.coverage
     }
@@ -941,10 +972,13 @@ impl<P: Protocol> Simulator<P> {
 
     /// Injects a message from the outside world (e.g. a test driver acting
     /// as a client) for delivery to `to` at the current time, attributed to
-    /// `from`.
+    /// `from`. The delivery bypasses routing (no accounting, drops, or
+    /// latency) and goes straight into `to`'s domain under the next seq.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let at = self.clock;
-        self.push_delivery(at, from, to, Payload::One(msg));
+        let (at, seq) = (self.clock.as_micros(), self.seq);
+        self.seq += 1;
+        let d = self.of_node[to.0] as usize;
+        self.domains[d].push_with_seq(at, seq, DeliveryBody { from, to, msg: Payload::One(msg) });
     }
 
     /// Lets external code act *as* `node`: the closure receives the
@@ -955,59 +989,28 @@ impl<P: Protocol> Simulator<P> {
         node: NodeId,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
-        self.with_ctx(node, f)
+        let (now, seq_base) = (self.clock.as_micros(), self.seq);
+        let d = self.of_node[node.0] as usize;
+        // An external dispatch is its window's only record, with no event
+        // of its own: any key merges, and `window_end = now` parks every
+        // emission for the commit.
+        let r = self.on_domain(d, now, |dom, nodes, rngs, env| {
+            dispatch_window(dom, nodes, rngs, env, (now, seq_base), node, f)
+        });
+        self.commit_window(seq_base);
+        r
     }
 
-    /// Runs a single event. Returns `false` when the queue is empty.
-    ///
-    /// Single-stepping is inherently sequential: if a parallel epoch is
-    /// live, its sharded queues are merged back into the global structures
-    /// first (a no-op otherwise).
+    /// Runs a single event — the global `(at, seq)` minimum — on its
+    /// domain alone. Returns `false` when nothing is pending.
     pub fn step(&mut self) -> bool {
-        self.unshard();
-        self.step_bounded(u64::MAX)
-    }
-
-    /// Runs the next event unless its timestamp (µs) exceeds `bound`.
-    /// Returns `false` when nothing ran. One peek pair decides both "is
-    /// there an event" and "is it in range", so `run_until` doesn't pay a
-    /// second round of queue peeks per event.
-    fn step_bounded(&mut self, bound: u64) -> bool {
-        let Some((next_at, _seq, take_timer)) = peek_next(&self.queue, &mut self.timers) else {
-            return false;
-        };
-        if next_at > bound {
-            return false;
-        }
-        if take_timer {
-            let entry = self.timers.pop_earliest().expect("peeked");
-            let at = SimTime::ZERO + SimDuration::from_micros(entry.at);
-            debug_assert!(at >= self.clock, "time must be monotonic");
-            self.clock = at;
-            self.events_processed += 1;
-            if !self.down[entry.node] {
-                self.dispatch_timer(NodeId(entry.node), entry.tag);
+        match self.next_event() {
+            Some((at, d)) => {
+                self.step_domain(at, d);
+                true
             }
-        } else {
-            let Reverse((at_us, _seq, slot)) = self.queue.pop().expect("peeked");
-            let body = self.delivery_slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            self.delivery_free.push(slot);
-            let at = SimTime::ZERO + SimDuration::from_micros(at_us);
-            debug_assert!(at >= self.clock, "time must be monotonic");
-            self.clock = at;
-            // Timers armed by this delivery's handler must be placeable
-            // relative to the new clock.
-            self.timers.advance(at_us);
-            self.events_processed += 1;
-            if self.down[body.to.0] {
-                self.stats.record_drop(DropCause::NodeDown);
-            } else {
-                self.dispatch_payload(body.to, body.from, body.msg);
-            }
+            None => false,
         }
-        true
     }
 
     /// Runs until the event queue drains. Returns the number of events
@@ -1017,35 +1020,25 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics after `max_events` events as a runaway-protocol guard.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        let start = self.events_processed;
-        while self.step() {
-            assert!(
-                self.events_processed - start <= max_events,
-                "simulation exceeded {max_events} events without quiescing"
-            );
-        }
-        self.events_processed - start
+        let ran = self.run_epoch(u64::MAX, max_events.saturating_add(1));
+        assert!(ran <= max_events, "simulation exceeded {max_events} events without quiescing");
+        ran
     }
 
     /// Runs events with timestamps `<= until`, leaving later events queued.
     /// The clock is advanced to `until` even if the queue drains early.
     ///
-    /// With [`Simulator::set_threads`] above 1 this drives the conservative
-    /// PDES scheduler; the observable schedule is bit-identical to the
-    /// sequential loop at any thread count.
+    /// At one thread this is a single window spanning the whole bound; with
+    /// [`Simulator::set_threads`] above 1 it is a sequence of conservative
+    /// lookahead windows across the domains. The observable schedule is
+    /// bit-identical at any thread count.
     pub fn run_until(&mut self, until: SimTime) {
         let bound = until.as_micros();
-        match self.par_exec {
-            Some(f) => f(self, bound),
-            None => while self.step_bounded(bound) {},
-        }
+        self.run_epoch(bound, u64::MAX);
         if self.clock < until {
             self.clock = until;
-            self.timers.advance(bound);
-            if let Some(par) = &mut self.par {
-                for dom in &mut par.domains {
-                    dom.wheel.advance(bound);
-                }
+            for dom in &mut self.domains {
+                dom.wheel.advance(bound);
             }
         }
     }
@@ -1061,15 +1054,13 @@ impl<P: Protocol> Simulator<P> {
         self.events_processed
     }
 
-    /// Number of events currently queued (deliveries and timers), across
-    /// the global structures and any live domain shards.
+    /// Number of events currently queued (deliveries and timers) across
+    /// every domain.
     pub fn pending_events(&self) -> usize {
-        let sharded: usize =
-            self.par.iter().flat_map(|p| p.domains.iter()).map(Domain::pending).sum();
-        self.queue.len() + self.timers.len() + sharded
+        self.domains.iter().map(Domain::pending).sum()
     }
 
-    /// The configured worker count (1 = sequential).
+    /// The configured worker count (1 = one domain).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -1078,276 +1069,276 @@ impl<P: Protocol> Simulator<P> {
     /// configuration (contiguous blocks; see `contiguous_domains`).
     /// Exposed for tests and diagnostics.
     pub fn domain_of(&self, node: NodeId) -> u32 {
-        contiguous_domains(self.nodes.len(), self.threads)[node.0]
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    fn push_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        let seq = self.next_seq();
-        let body = DeliveryBody { from, to, msg };
-        // Between windows of a parallel epoch the sharded queues are
-        // authoritative: route straight into the destination's domain.
-        // (Seqs are global and real here, so ordering is unaffected.)
-        if let Some(par) = &mut self.par {
-            let d = par.of_node[to.0] as usize;
-            par.domains[d].push_with_seq(at.as_micros(), seq, body);
-            return;
-        }
-        let slot = park_delivery(&mut self.delivery_slab, &mut self.delivery_free, body);
-        self.queue.push(Reverse((at.as_micros(), seq, slot)));
-    }
-
-    /// Runs `f` against `node`'s protocol with a live context backed by the
-    /// pooled scratch buffer, then applies the emitted actions.
-    fn with_ctx<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
-    ) -> R {
-        let mut actions = std::mem::take(&mut self.scratch);
-        debug_assert!(actions.is_empty());
-        let r = {
-            let mut ctx = Context {
-                now: self.clock,
-                node,
-                actions: &mut actions,
-                rng: &mut self.node_rngs[node.0],
-            };
-            f(&mut self.nodes[node.0], &mut ctx)
-        };
-        self.apply_actions(node, &mut actions);
-        self.scratch = actions;
-        r
+        self.of_node[node.0]
     }
 
     fn dispatch_start(&mut self, node: NodeId) {
-        self.with_ctx(node, |p, ctx| p.on_start(ctx));
+        self.with_node_ctx(node, |p, ctx| p.on_start(ctx));
     }
 
-    fn dispatch_payload(&mut self, node: NodeId, from: NodeId, payload: Payload<P::Msg>) {
-        match payload {
-            Payload::One(msg) => self.with_ctx(node, |p, ctx| p.on_message(ctx, from, msg)),
-            // The last recipient of a multicast owns the payload outright;
-            // earlier ones borrow it.
-            Payload::Shared(arc) => match Arc::try_unwrap(arc) {
-                Ok(msg) => self.with_ctx(node, |p, ctx| p.on_message(ctx, from, msg)),
-                Err(arc) => self.with_ctx(node, |p, ctx| p.on_message_ref(ctx, from, &arc)),
-            },
-        }
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, tag: u64) {
-        self.with_ctx(node, |p, ctx| p.on_timer(ctx, tag));
-    }
-
-    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Msg>>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.route(node, to, Payload::One(msg)),
-                Action::Multicast { to, msg } => {
-                    // One aggregated accounting entry for the whole fan-out;
-                    // the per-recipient loop then only decides delivery. The
-                    // counter totals are identical to per-recipient
-                    // record_send calls, so stats fingerprints don't move.
-                    let (wire_size, class) = (msg.wire_size(), msg.class());
-                    self.stats.record_multicast(node, &to, wire_size, class);
-                    for t in to {
-                        self.route_unaccounted(node, t, Payload::Shared(Arc::clone(&msg)));
-                    }
-                }
-                Action::Timer { delay, tag } => {
-                    let at = self.clock + delay;
-                    let seq = self.next_seq();
-                    let entry = TimerEntry { at: at.as_micros(), seq, node: node.0, tag };
-                    match &mut self.par {
-                        Some(par) => {
-                            let d = par.of_node[node.0] as usize;
-                            par.domains[d].wheel.insert(entry);
-                        }
-                        None => self.timers.insert(entry),
-                    }
-                }
-                Action::Count { name, n } => self.stats.record_event(name, n),
-            }
-        }
-    }
-
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        // Accounting happens at send time: bytes hit the wire even when the
-        // destination later proves dead.
-        let (wire_size, class) = {
-            let m = msg.as_msg();
-            (m.wire_size(), m.class())
-        };
-        self.stats.record_send(from, to, wire_size, class);
-        self.route_unaccounted(from, to, msg);
-    }
-
-    /// Delivery decision only — byte accounting already happened (either
-    /// [`NetStats::record_send`] in [`Simulator::route`] or one batched
-    /// [`NetStats::record_multicast`] for a whole fan-out). Which attempts
-    /// bump a link's drop counter, and in what per-link order, is part of
-    /// the determinism contract.
-    fn route_unaccounted(&mut self, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        if let Some(groups) = &self.partitions {
-            if groups[from.0] != groups[to.0] {
-                self.stats.record_drop(DropCause::Partition);
-                return;
-            }
-        }
-        // Counter-mode drop coins: identical verdicts whether this attempt
-        // runs here or inside a window, because the decision depends only
-        // on the link's attempt counter — which lives wherever the sender's
-        // domain lives while shards are up.
-        let ctrs = match &mut self.par {
-            Some(par) => &mut par.domains[par.of_node[from.0] as usize].link_ctrs,
-            None => &mut self.link_ctrs,
-        };
-        if let Some(cause) =
-            counter_drop(ctrs, self.drop_seed, self.drop_prob, &self.link_drops, from, to)
-        {
-            self.stats.record_drop(cause);
-            return;
-        }
-        let Some(latency) = self.topo.dist(from, to) else {
-            self.stats.record_drop(DropCause::Unreachable);
-            return;
-        };
-        let latency =
-            if self.latency_factor == 1.0 { latency } else { latency.mul_f64(self.latency_factor) };
-        let at = self.clock + latency;
-        self.push_delivery(at, from, to, msg);
-    }
-
-    /// Splits the global queue and timer wheel into per-domain shards for a
-    /// parallel epoch. No-op if already sharded. Seqs travel with their
-    /// keys, so the merged `(at, seq)` order is untouched.
-    fn ensure_sharded(&mut self) {
-        if self.par.is_some() {
-            return;
-        }
+    /// Re-partitions the nodes into `count` contiguous domains, moving every
+    /// pending delivery, timer, and drop counter to its new owner. Seqs
+    /// travel with their keys, so the `(at, seq)` order is untouched.
+    fn partition(&mut self, count: usize) {
         let n = self.nodes.len();
-        let of_node = contiguous_domains(n, self.threads);
+        let of_node = contiguous_domains(n, count);
         let count = of_node.last().map_or(1, |&d| d as usize + 1);
-        let mut domains: Vec<Domain<P::Msg>> = Vec::with_capacity(count);
+        let mut fresh = Vec::with_capacity(count);
         let mut base = 0;
         for d in 0..count {
-            let end = of_node.iter().filter(|&&x| x == d as u32).count() + base;
+            let end = base + of_node[base..].iter().take_while(|&&x| x == d as u32).count();
             let mut dom = Domain::new(base, end, n);
             dom.wheel.advance(self.clock.as_micros());
-            domains.push(dom);
+            fresh.push(dom);
             base = end;
         }
-        // Drop counters shard by the *sender's* domain: every attempt on a
-        // directed link happens while its source node dispatches.
-        for ((from, to), c) in self.link_ctrs.drain() {
-            domains[of_node[from as usize] as usize].link_ctrs.insert((from, to), c);
-        }
-        let base_lookahead = self
-            .topo
-            .min_cross_group_latency(&of_node)
-            .map_or(u64::MAX, |l| l.as_micros());
-        while let Some(Reverse((at, seq, slot))) = self.queue.pop() {
-            let body = self.delivery_slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            let d = of_node[body.to.0] as usize;
-            domains[d].push_with_seq(at, seq, body);
-        }
-        self.delivery_slab.clear();
-        self.delivery_free.clear();
-        for e in self.timers.drain_sorted() {
-            domains[of_node[e.node] as usize].wheel.insert(e);
-        }
-        self.timers = TimerWheel::new();
-        self.timers.advance(self.clock.as_micros());
-        self.par = Some(ParState { domains, of_node, base_lookahead, merge: MergeScratch::default() });
-    }
-
-    /// Merges any live domain shards back into the global structures (the
-    /// inverse of `ensure_sharded`). Called whenever sequential stepping
-    /// needs the single-queue view: `step`, thread-count changes, and the
-    /// zero-lookahead fallback.
-    fn unshard(&mut self) {
-        let Some(mut par) = self.par.take() else { return };
-        for dom in &mut par.domains {
-            while let Some(Reverse((at, seq, slot))) = dom.queue.pop() {
-                let body = dom.slab[slot as usize]
+        for mut old in std::mem::replace(&mut self.domains, fresh) {
+            debug_assert!(old.stats.is_untouched() && old.events_processed == 0);
+            while let Some(Reverse((at, seq, slot))) = old.queue.pop() {
+                let body = old.slab[slot as usize]
                     .take()
                     .expect("queued key points at a parked body");
-                let slot =
-                    park_delivery(&mut self.delivery_slab, &mut self.delivery_free, body);
-                self.queue.push(Reverse((at, seq, slot)));
+                self.domains[of_node[body.to.0] as usize].push_with_seq(at, seq, body);
             }
-            for e in dom.wheel.drain_sorted() {
-                self.timers.insert(e);
+            for e in old.wheel.drain_sorted() {
+                self.domains[of_node[e.node] as usize].wheel.insert(e);
             }
-            // Domain shards of disjoint key sets fold straight back in.
-            for (k, v) in dom.link_ctrs.drain() {
-                self.link_ctrs.insert(k, v);
+            // Drop counters follow the *sender*: every attempt on a
+            // directed link happens while its source node dispatches.
+            for ((from, to), c) in old.link_ctrs.drain() {
+                self.domains[of_node[from as usize] as usize].link_ctrs.insert((from, to), c);
             }
-            // Load-bearing: window-side accounting accumulates here until
-            // the epoch-end drain, and a mid-epoch fallback lands in this
-            // merge instead.
-            if !dom.stats.is_untouched() {
-                self.stats.merge(&dom.stats);
+        }
+        // One domain has no crossing link; skip the `O(edges)` scan.
+        self.base_lookahead = match count {
+            1 => u64::MAX,
+            _ => self.topo.min_cross_group_latency(&of_node).map_or(u64::MAX, |l| l.as_micros()),
+        };
+        self.of_node = of_node;
+    }
+
+    /// The global `(at, seq)` minimum pending event: its time and domain.
+    fn next_event(&mut self) -> Option<(u64, usize)> {
+        let mut best: Option<(u64, u64, usize)> = None;
+        for (d, dom) in self.domains.iter_mut().enumerate() {
+            if let Some((at, seq, _)) = peek_next(&dom.queue, &mut dom.wheel) {
+                if best.is_none_or(|(a, s, _)| (at, seq) < (a, s)) {
+                    best = Some((at, seq, d));
+                }
             }
-            self.events_processed += dom.events_processed;
+        }
+        best.map(|(at, _, d)| (at, d))
+    }
+
+    /// Runs domain `d`'s next event (due at `at`, and the global minimum)
+    /// alone. `window_end = at` parks every emission for the commit.
+    fn step_domain(&mut self, at: u64, d: usize) {
+        let seq_base = self.seq;
+        self.on_domain(d, at, |dom, nodes, rngs, env| {
+            let (_, _, take_timer) =
+                peek_next(&dom.queue, &mut dom.wheel).expect("stepped domain has an event");
+            run_next(dom, nodes, rngs, env, take_timer);
+        });
+        self.commit_window(seq_base);
+    }
+
+    /// Runs `job` on domain `d` alone, outside any window, under a window
+    /// ending at `window_end`. The global stats are swapped into the
+    /// domain for the duration, so its accounting needs no fold.
+    fn on_domain<R>(
+        &mut self,
+        d: usize,
+        window_end: u64,
+        job: impl FnOnce(&mut Domain<P::Msg>, &mut [P], &mut [ChaCha8Rng], &WindowEnv<'_>) -> R,
+    ) -> R {
+        let solo = self.domains.len() == 1;
+        let env = WindowEnv {
+            topo: &self.topo,
+            down: &self.down,
+            partitions: self.partitions.as_deref(),
+            latency_factor: self.latency_factor,
+            drop_prob: self.drop_prob,
+            link_drops: &self.link_drops,
+            drop_seed: self.drop_seed,
+            window_end,
+            seq_base: self.seq,
+            solo,
+        };
+        let dom = &mut self.domains[d];
+        std::mem::swap(&mut self.stats, &mut dom.stats);
+        let (lo, hi) = (dom.base, dom.end);
+        let r = job(dom, &mut self.nodes[lo..hi], &mut self.node_rngs[lo..hi], &env);
+        std::mem::swap(&mut self.stats, &mut dom.stats);
+        r
+    }
+
+    /// The one event loop behind [`Simulator::run_until`] and
+    /// [`Simulator::run_to_quiescence`]: repeatedly takes the global
+    /// minimum next-event time `t`, lets every domain run independently
+    /// inside `[t, t + lookahead)` (clipped to `bound`), then commits the
+    /// window barrier. One domain has no cross-domain lookahead limit, so
+    /// its single window spans the whole bound. Stops once nothing is due
+    /// at or before `bound`, or after at least `budget` events (each domain
+    /// honours the remaining budget on its own; with one domain the stop is
+    /// exact). Returns the events run.
+    ///
+    /// Random drops and link flaps never force a fallback: their verdicts
+    /// are counter-mode hashes of each attempt's identity. The only
+    /// fallback is a zero lookahead, which steps single events in global
+    /// order.
+    fn run_epoch(&mut self, bound: u64, budget: u64) -> u64 {
+        let epoch_start = std::time::Instant::now();
+        let solo = self.domains.len() == 1;
+        if solo {
+            std::mem::swap(&mut self.stats, &mut self.domains[0].stats);
+        }
+        let mut ran = 0;
+        while ran < budget {
+            let Some((t, _)) = self.next_event() else { break };
+            if t > bound {
+                break;
+            }
+            // Scale the lookahead exactly like message routing scales
+            // latency: rounding is monotone, so the scaled bound is still a
+            // valid lower bound on cross-domain delivery delay.
+            let w = match self.base_lookahead {
+                u64::MAX => u64::MAX,
+                base if self.latency_factor == 1.0 => base,
+                base => SimDuration::from_micros(base).mul_f64(self.latency_factor).as_micros(),
+            };
+            if w == 0 {
+                // A zero-latency cross-domain link means no safe window.
+                self.coverage.fallback_entries += 1;
+                while ran < budget {
+                    match self.next_event() {
+                        Some((at, d)) if at <= bound => self.step_domain(at, d),
+                        _ => break,
+                    }
+                    ran += 1;
+                    self.coverage.fallback_events += 1;
+                }
+                break;
+            }
+            // `bound + 1` because the window is half-open while `bound` is
+            // inclusive (run events with `at <= bound`).
+            let window_end = t.saturating_add(w).min(bound.saturating_add(1));
+            let seq_base = self.seq;
+            self.run_window(window_end, seq_base, budget - ran);
+            let serial_start = std::time::Instant::now();
+            ran += self.commit_window(seq_base);
+            self.coverage.serial_nanos += serial_start.elapsed().as_nanos() as u64;
+        }
+        if solo {
+            std::mem::swap(&mut self.stats, &mut self.domains[0].stats);
+        } else {
+            self.drain_epoch_stats();
+        }
+        self.coverage.epoch_nanos += epoch_start.elapsed().as_nanos() as u64;
+        ran
+    }
+
+    /// Executes one window `[t, window_end)` across all domains, threaded
+    /// when there are several domains and enough work is pending. Domains
+    /// are contiguous node blocks, so `split_at_mut` hands each worker
+    /// disjoint `&mut` slices of protocol state and per-node RNGs without
+    /// any locking.
+    fn run_window(&mut self, window_end: u64, seq_base: u64, budget: u64) {
+        let solo = self.domains.len() == 1;
+        let env = WindowEnv {
+            topo: &self.topo,
+            down: &self.down,
+            partitions: self.partitions.as_deref(),
+            latency_factor: self.latency_factor,
+            drop_prob: self.drop_prob,
+            link_drops: &self.link_drops,
+            drop_seed: self.drop_seed,
+            window_end,
+            seq_base,
+            solo,
+        };
+        let threaded = !solo
+            && self.domains.iter().map(Domain::pending).sum::<usize>() >= PARALLEL_SPAWN_THRESHOLD;
+        if threaded {
+            self.coverage.windows_parallel += 1;
+        } else {
+            self.coverage.windows_inline += 1;
+        }
+        let mut jobs: Vec<Job<'_, P>> = Vec::with_capacity(self.domains.len());
+        let mut nodes_rest: &mut [P] = &mut self.nodes;
+        let mut rngs_rest: &mut [ChaCha8Rng] = &mut self.node_rngs;
+        for dom in &mut self.domains {
+            let take = dom.end - dom.base;
+            let (n, nr) = nodes_rest.split_at_mut(take);
+            let (r, rr) = rngs_rest.split_at_mut(take);
+            nodes_rest = nr;
+            rngs_rest = rr;
+            jobs.push((dom, n, r));
+        }
+        if threaded {
+            (self.fan_out)(jobs, &env, budget);
+        } else {
+            run_jobs_inline(jobs, &env, budget);
         }
     }
 
-    /// Folds every domain's window-side accumulator into the global stats.
-    /// Called once per epoch (and implicitly by `unshard`): accumulators
-    /// persist across the epoch's windows, so the per-window barrier never
-    /// touches the `O(nodes)` counter vectors.
-    fn drain_epoch_stats(&mut self) {
-        let Some(par) = &mut self.par else { return };
-        for dom in &mut par.domains {
-            if dom.stats.is_untouched() {
-                continue;
-            }
-            self.stats.merge(&dom.stats);
-            dom.stats.clear_for_reuse();
+    /// The window barrier. One domain needs no merge: its provisional seqs
+    /// were real, so the commit only advances `seq` past them. Several
+    /// domains replay their emission logs in exact global dispatch order
+    /// (`merge_records`). Either way every domain's event count folds into
+    /// the global count and the clock advances to the latest event run.
+    /// Returns the events the window ran.
+    fn commit_window(&mut self, seq_base: u64) -> u64 {
+        if let [dom] = self.domains.as_slice() {
+            debug_assert_eq!(self.seq, seq_base, "nothing commits inside a one-domain window");
+            self.seq += dom.provisional;
+        } else {
+            self.merge_records(seq_base);
         }
+        let mut ran = 0;
+        for dom in &mut self.domains {
+            dom.records.clear();
+            dom.emissions.clear();
+            dom.provisional = 0;
+            ran += dom.events_processed;
+            dom.events_processed = 0;
+            if dom.last_at > self.clock.as_micros() {
+                self.clock = SimTime::ZERO + SimDuration::from_micros(dom.last_at);
+            }
+        }
+        self.events_processed += ran;
+        ran
     }
 
-    /// The window barrier: replays every domain's emission log in exact
-    /// sequential dispatch order, assigning real seqs and enqueueing
-    /// surviving (cross-domain or post-window) events into their target
-    /// domains. All commutative accounting — bytes, classes, drop tallies,
-    /// counter events — already happened thread-side in the domain
-    /// accumulators, so the serial section here replays only the
-    /// ordering-sensitive emissions.
+    /// Replays every domain's emission log in exact global dispatch order,
+    /// assigning real seqs and enqueueing surviving (cross-domain or
+    /// post-window) events into their target domains. All commutative
+    /// accounting — bytes, classes, drop tallies, counter events — already
+    /// happened thread-side in the domain accumulators, so this serial
+    /// section replays only the ordering-sensitive emissions.
     ///
     /// Dispatch records merge by the dispatched event's real `(at, seq)`
-    /// key. A record whose key is provisional (`seq >= seq_base`) was
-    /// emitted *this* window by its own domain, and its emitter's record
-    /// sits earlier in the same domain's list — so by the time it reaches
-    /// the merge head, its real seq is already known. Each domain's record
-    /// list is already sorted (domains execute in local `(at, seq)` order),
-    /// so the merge is a loser-tree tournament over the per-domain runs:
-    /// `O(log D)` per record, with all scratch reused window to window.
-    /// This reconstructs the exact global emission order of the sequential
-    /// engine, which is what makes every thread count bit-identical.
-    fn commit_window(&mut self, seq_base: u64) {
-        let mut par = self.par.take().expect("commit only inside a parallel epoch");
-        let count = par.domains.len();
-        let mut scratch = std::mem::take(&mut par.merge);
+    /// key. A record whose key is provisional was emitted *this* window by
+    /// its own domain, and its emitter's record sits earlier in the same
+    /// domain's list — so by the time it reaches the merge head, its real
+    /// seq is already known. Each domain's record list is already sorted
+    /// (domains execute in local `(at, seq)` order), so the merge is a
+    /// loser-tree tournament over the per-domain runs: `O(log D)` per
+    /// record, with all scratch reused window to window. This reconstructs
+    /// the exact global emission order, which is what makes every thread
+    /// count bit-identical.
+    fn merge_records(&mut self, seq_base: u64) {
+        let count = self.domains.len();
+        let mut scratch = std::mem::take(&mut self.merge);
         scratch.heads.clear();
         scratch.heads.resize(count, 0);
         scratch.real_of.resize_with(count, Vec::new);
         for (d, v) in scratch.real_of.iter_mut().enumerate() {
             v.clear();
-            v.reserve(par.domains[d].provisional as usize);
+            v.reserve(self.domains[d].provisional as usize);
         }
         scratch.keys.clear();
-        for d in 0..count {
-            scratch.keys.push(head_key(&par.domains[d].records, 0, seq_base, &scratch.real_of[d]));
+        for (d, dom) in self.domains.iter().enumerate() {
+            scratch.keys.push(head_key(&dom.records, 0, seq_base, dom.provisional, &scratch.real_of[d]));
         }
         scratch.tree.rebuild(count, &scratch.keys);
         loop {
@@ -1355,13 +1346,13 @@ impl<P: Protocol> Simulator<P> {
             if scratch.keys[d].is_none() {
                 break;
             }
-            let r = par.domains[d].records[scratch.heads[d]];
+            let r = self.domains[d].records[scratch.heads[d]];
             scratch.heads[d] += 1;
             let from = NodeId(r.node as usize);
             for i in r.emi as usize..(r.emi + r.emi_len) as usize {
                 // Pull the emission out by value so the borrow of this
                 // domain's log ends before any cross-domain park.
-                let step: Step<P::Msg> = match &mut par.domains[d].emissions[i] {
+                let step: Step<P::Msg> = match &mut self.domains[d].emissions[i] {
                     Emission::Exec => Step::Exec,
                     Emission::Park { to, at, body } => Step::Park {
                         to: *to,
@@ -1370,15 +1361,16 @@ impl<P: Protocol> Simulator<P> {
                     },
                     Emission::ArmTimer { at, tag } => Step::Arm { at: *at, tag: *tag },
                 };
-                let s = self.next_seq();
+                let s = self.seq;
+                self.seq += 1;
                 match step {
                     Step::Exec => scratch.real_of[d].push(s),
                     Step::Park { to, at, body } => {
-                        let td = par.of_node[to.0] as usize;
-                        par.domains[td].push_with_seq(at, s, DeliveryBody { from, to, msg: body });
+                        let td = self.of_node[to.0] as usize;
+                        self.domains[td].push_with_seq(at, s, DeliveryBody { from, to, msg: body });
                     }
                     Step::Arm { at, tag } => {
-                        par.domains[d].wheel.insert(TimerEntry {
+                        self.domains[d].wheel.insert(TimerEntry {
                             at,
                             seq: s,
                             node: r.node as usize,
@@ -1389,38 +1381,49 @@ impl<P: Protocol> Simulator<P> {
             }
             // Only this leaf's key can have changed: `real_of` entries for
             // other domains are appended exclusively by their own records.
+            let dom = &self.domains[d];
             scratch.keys[d] =
-                head_key(&par.domains[d].records, scratch.heads[d], seq_base, &scratch.real_of[d]);
+                head_key(&dom.records, scratch.heads[d], seq_base, dom.provisional, &scratch.real_of[d]);
             scratch.tree.replay(d, &scratch.keys);
         }
-        for (d, dom) in par.domains.iter_mut().enumerate() {
+        for (d, dom) in self.domains.iter().enumerate() {
             debug_assert_eq!(scratch.heads[d], dom.records.len(), "every record merged");
             debug_assert_eq!(
                 dom.records.iter().map(|r| r.emi_len as usize).sum::<usize>(),
                 dom.emissions.len(),
                 "every emission replayed"
             );
-            dom.records.clear();
-            dom.emissions.clear();
-            self.events_processed += dom.events_processed;
-            dom.events_processed = 0;
-            dom.provisional = 0;
         }
-        par.merge = scratch;
-        self.par = Some(par);
+        self.merge = scratch;
+    }
+
+    /// Folds every domain's window-side accumulator into the global stats.
+    /// Called once per multi-domain epoch: accumulators persist across the
+    /// epoch's windows, so the per-window barrier never touches the
+    /// `O(nodes)` counter vectors.
+    fn drain_epoch_stats(&mut self) {
+        for dom in &mut self.domains {
+            if dom.stats.is_untouched() {
+                continue;
+            }
+            self.stats.merge(&dom.stats);
+            dom.stats.clear_for_reuse();
+        }
     }
 }
 
-/// Parallel execution requires moving protocol state and messages across
-/// worker threads, hence the bounds. A `Simulator` whose protocol is not
-/// `Send` simply never gains `set_threads` and stays sequential.
+/// Multi-domain execution requires moving protocol state and messages
+/// across worker threads, hence the bounds. A `Simulator` whose protocol is
+/// not `Send` simply never gains `set_threads` and stays one domain.
 impl<P> Simulator<P>
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
 {
     /// Sets the worker-thread count for [`Simulator::run_until`] /
-    /// [`Simulator::run_for`]. `1` restores the plain sequential loop.
+    /// [`Simulator::run_for`] by re-partitioning the nodes into that many
+    /// domains (only when the count changes). `1` is the single domain a
+    /// fresh simulator starts as.
     ///
     /// The observable schedule — traces, stats, fingerprints, RNG streams —
     /// is bit-identical at every thread count; threads only change
@@ -1435,243 +1438,128 @@ where
         if threads == self.threads {
             return;
         }
-        // Repartitioning invalidates the current shards; fold them back
-        // first (cheap, and only on reconfiguration).
-        self.unshard();
         self.threads = threads;
-        // Stored as a fn pointer so the unbounded `run_until` can invoke
-        // the parallel path without carrying these bounds itself.
-        self.par_exec = if threads > 1 { Some(Self::parallel_epoch) } else { None };
-    }
-
-    /// The conservative-PDES driver behind `run_until` when `threads > 1`:
-    /// repeatedly picks the global minimum next-event time `t`, lets every
-    /// domain run independently inside `[t, t + lookahead)`, then commits
-    /// the window barrier. Random drops and link flaps do *not* force a
-    /// fallback: their verdicts are counter-mode hashes of each attempt's
-    /// identity, so windows stay parallel through chaos phases. The only
-    /// remaining fallback is the absence of a usable lookahead window.
-    fn parallel_epoch(sim: &mut Self, bound: u64) {
-        let epoch_start = std::time::Instant::now();
-        loop {
-            let eligible = sim.threads > 1 && sim.nodes.len() >= 2;
-            if !eligible {
-                sim.fallback(bound);
-                break;
-            }
-            sim.ensure_sharded();
-            let par = sim.par.as_mut().expect("just sharded");
-            // Scale the lookahead exactly like message routing scales
-            // latency: rounding is monotone, so the scaled bound is still a
-            // valid lower bound on cross-domain delivery delay.
-            let w = match par.base_lookahead {
-                u64::MAX => u64::MAX,
-                base if sim.latency_factor == 1.0 => base,
-                base => SimDuration::from_micros(base).mul_f64(sim.latency_factor).as_micros(),
-            };
-            if w == 0 {
-                // A zero-latency cross-domain link means no safe window.
-                sim.fallback(bound);
-                break;
-            }
-            let mut t_min: Option<u64> = None;
-            for dom in &mut par.domains {
-                if let Some((at, _, _)) = peek_next(&dom.queue, &mut dom.wheel) {
-                    t_min = Some(t_min.map_or(at, |t| t.min(at)));
-                }
-            }
-            let Some(t) = t_min else { break };
-            if t > bound {
-                break;
-            }
-            // `bound + 1` because the window is half-open while `bound` is
-            // inclusive (run events with `at <= bound`).
-            let window_end = t.saturating_add(w).min(bound.saturating_add(1));
-            let seq_base = sim.seq;
-            sim.run_window(window_end, seq_base);
-            let serial_start = std::time::Instant::now();
-            sim.commit_window(seq_base);
-            sim.coverage.serial_nanos += serial_start.elapsed().as_nanos() as u64;
-        }
-        sim.drain_epoch_stats();
-        sim.coverage.epoch_nanos += epoch_start.elapsed().as_nanos() as u64;
-    }
-
-    /// Abandons the windowed scheduler for this `run_until`: folds shards
-    /// back and drains the bound sequentially, with coverage accounting.
-    fn fallback(&mut self, bound: u64) {
-        self.coverage.fallback_entries += 1;
-        self.unshard();
-        let before = self.events_processed;
-        while self.step_bounded(bound) {}
-        self.coverage.fallback_events += self.events_processed - before;
-    }
-
-    /// Executes one window `[t, window_end)` across all domains, in
-    /// parallel when enough work is pending. Domains are contiguous node
-    /// blocks, so `split_at_mut` hands each worker disjoint `&mut` slices
-    /// of protocol state and per-node RNGs without any locking.
-    fn run_window(&mut self, window_end: u64, seq_base: u64) {
-        let mut par = self.par.take().expect("window requires live shards");
-        let env = WindowEnv {
-            topo: &self.topo,
-            down: &self.down,
-            partitions: self.partitions.as_deref(),
-            latency_factor: self.latency_factor,
-            drop_prob: self.drop_prob,
-            link_drops: &self.link_drops,
-            drop_seed: self.drop_seed,
-            window_end,
-            seq_base,
-        };
-        let pending: usize = par.domains.iter().map(Domain::pending).sum();
-        if pending < PARALLEL_SPAWN_THRESHOLD {
-            self.coverage.windows_inline += 1;
-        } else {
-            self.coverage.windows_parallel += 1;
-        }
-        // One window job per domain: its shard plus disjoint `&mut`
-        // slices of protocol state and per-node RNGs.
-        type Job<'a, P> =
-            (&'a mut Domain<<P as Protocol>::Msg>, &'a mut [P], &'a mut [ChaCha8Rng]);
-        let mut jobs: Vec<Job<'_, P>> = Vec::with_capacity(par.domains.len());
-        let mut nodes_rest: &mut [P] = &mut self.nodes;
-        let mut rngs_rest: &mut [ChaCha8Rng] = &mut self.node_rngs;
-        for dom in &mut par.domains {
-            let take = dom.end - dom.base;
-            let (n, nr) = nodes_rest.split_at_mut(take);
-            let (r, rr) = rngs_rest.split_at_mut(take);
-            nodes_rest = nr;
-            rngs_rest = rr;
-            jobs.push((dom, n, r));
-        }
-        if pending < PARALLEL_SPAWN_THRESHOLD {
-            // Tiny windows aren't worth thread wake-ups. Domains are
-            // independent within a window, so inline execution produces
-            // byte-identical results.
-            for (dom, nodes, rngs) in jobs {
-                run_domain_window(dom, nodes, rngs, &env);
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut jobs = jobs.into_iter();
-                let first = jobs.next();
-                for (dom, nodes, rngs) in jobs {
-                    let env = &env;
-                    s.spawn(move || run_domain_window(dom, nodes, rngs, env));
-                }
-                // The driver thread works the first domain instead of
-                // idling at the join.
-                if let Some((dom, nodes, rngs)) = first {
-                    run_domain_window(dom, nodes, rngs, &env);
-                }
-            });
-        }
-        self.par = Some(par);
+        self.fan_out = run_jobs_threaded::<P>;
+        self.partition(threads);
     }
 }
 
-/// One domain's event loop for one window: run every local event with
-/// `at < window_end` in `(at, seq)` order, recording emissions for the
-/// barrier replay instead of touching global state.
+/// One domain's event loop for one window: run up to `budget` local events
+/// with `at < window_end` in `(at, seq)` order.
 fn run_domain_window<P: Protocol>(
     dom: &mut Domain<P::Msg>,
     nodes: &mut [P],
     rngs: &mut [ChaCha8Rng],
     env: &WindowEnv<'_>,
+    budget: u64,
 ) {
-    loop {
-        let Some((at, _seq, take_timer)) = peek_next(&dom.queue, &mut dom.wheel) else {
-            return;
-        };
-        if at >= env.window_end {
-            return;
-        }
-        if take_timer {
-            let entry = dom.wheel.pop_earliest().expect("peeked");
-            dom.events_processed += 1;
-            if !env.down[entry.node] {
-                dispatch_window(dom, nodes, rngs, env, (entry.at, entry.seq), NodeId(entry.node), |p, ctx| {
-                    p.on_timer(ctx, entry.tag)
-                });
+    for _ in 0..budget {
+        match peek_next(&dom.queue, &mut dom.wheel) {
+            Some((at, _, take_timer)) if at < env.window_end => {
+                run_next(dom, nodes, rngs, env, take_timer);
             }
-        } else {
-            let Reverse((at_us, seq, slot)) = dom.queue.pop().expect("peeked");
-            let body = dom.slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            dom.free.push(slot);
-            // Mirrors the sequential loop: timers armed by this handler
-            // must be placeable relative to the new local time.
-            dom.wheel.advance(at_us);
-            dom.events_processed += 1;
-            if env.down[body.to.0] {
-                // Delivery-time drops are pure counters, so they can live
-                // in the domain accumulator and merge at the barrier.
-                dom.stats.record_drop(DropCause::NodeDown);
-            } else {
-                let (to, from) = (body.to, body.from);
-                match body.msg {
-                    Payload::One(msg) => {
-                        dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                            p.on_message(ctx, from, msg)
-                        });
-                    }
-                    Payload::Shared(arc) => match Arc::try_unwrap(arc) {
-                        Ok(msg) => {
-                            dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                                p.on_message(ctx, from, msg)
-                            });
-                        }
-                        Err(arc) => {
-                            dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                                p.on_message_ref(ctx, from, &arc)
-                            });
-                        }
-                    },
-                }
-            }
+            _ => return,
         }
     }
 }
 
-/// Runs one handler inside a window and logs its emissions. Intra-window
-/// intra-domain effects execute immediately under provisional seqs
-/// (`seq_base + k`, `k` counting only executed emissions in this domain);
-/// everything else parks for the barrier. The provisional numbering
-/// preserves the domain-local relative order the sequential engine would
-/// produce, and the barrier replay rewrites it into the real global order.
-fn dispatch_window<P: Protocol>(
+/// Pops the domain's next event (a timer iff `take_timer`) and dispatches
+/// it, unless its node is down.
+fn run_next<P: Protocol>(
+    dom: &mut Domain<P::Msg>,
+    nodes: &mut [P],
+    rngs: &mut [ChaCha8Rng],
+    env: &WindowEnv<'_>,
+    take_timer: bool,
+) {
+    dom.events_processed += 1;
+    if take_timer {
+        let entry = dom.wheel.pop_earliest().expect("peeked");
+        dom.last_at = entry.at;
+        if !env.down[entry.node] {
+            dispatch_window(dom, nodes, rngs, env, (entry.at, entry.seq), NodeId(entry.node), |p, ctx| {
+                p.on_timer(ctx, entry.tag)
+            });
+        }
+        return;
+    }
+    let Reverse((at_us, seq, slot)) = dom.queue.pop().expect("peeked");
+    let body = dom.slab[slot as usize]
+        .take()
+        .expect("queued key points at a parked body");
+    dom.free.push(slot);
+    dom.last_at = at_us;
+    // Timers armed by this delivery's handler must be placeable relative
+    // to the new local time.
+    dom.wheel.advance(at_us);
+    if env.down[body.to.0] {
+        // Delivery-time drops are pure counters, so they can live in the
+        // domain accumulator and merge at the barrier.
+        dom.stats.record_drop(DropCause::NodeDown);
+        return;
+    }
+    let (to, from, key) = (body.to, body.from, (at_us, seq));
+    match body.msg {
+        Payload::One(msg) => {
+            dispatch_window(dom, nodes, rngs, env, key, to, |p, ctx| p.on_message(ctx, from, msg));
+        }
+        // The last recipient of a multicast owns the payload outright;
+        // earlier ones borrow it.
+        Payload::Shared(arc) => match Arc::try_unwrap(arc) {
+            Ok(msg) => {
+                dispatch_window(dom, nodes, rngs, env, key, to, |p, ctx| p.on_message(ctx, from, msg));
+            }
+            Err(arc) => {
+                dispatch_window(dom, nodes, rngs, env, key, to, |p, ctx| {
+                    p.on_message_ref(ctx, from, &arc)
+                });
+            }
+        },
+    }
+}
+
+/// Runs one handler and applies its actions. With several domains,
+/// intra-window intra-domain effects execute immediately under provisional
+/// seqs (`seq_base + k`, `k` counting only executed emissions in this
+/// domain) and everything else parks for the barrier; the provisional
+/// numbering preserves the domain-local relative order, and the barrier
+/// replay rewrites it into the real global order. With one domain every
+/// emission executes under its provisional seq, which is already real.
+fn dispatch_window<P: Protocol, R>(
     dom: &mut Domain<P::Msg>,
     nodes: &mut [P],
     rngs: &mut [ChaCha8Rng],
     env: &WindowEnv<'_>,
     key: (u64, u64),
     node: NodeId,
-    f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-) {
+    f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
+) -> R {
     let mut actions = std::mem::take(&mut dom.actions);
     debug_assert!(actions.is_empty());
-    {
+    let r = {
         let mut ctx = Context {
             now: SimTime::ZERO + SimDuration::from_micros(key.0),
             node,
             actions: &mut actions,
             rng: &mut rngs[node.0 - dom.base],
         };
-        f(&mut nodes[node.0 - dom.base], &mut ctx);
-    }
+        f(&mut nodes[node.0 - dom.base], &mut ctx)
+    };
     let emi = dom.emissions.len() as u32;
     for action in actions.drain(..) {
         match action {
             Action::Send { to, msg } => {
+                // Accounting happens at send time: bytes hit the wire even
+                // when the destination later proves dead.
                 let (wire, class) = (msg.wire_size(), msg.class());
                 dom.stats.record_send(node, to, wire, class);
                 window_route(dom, env, node, to, key.0, Payload::One(msg));
             }
             Action::Multicast { to, msg } => {
-                // One aggregated accounting entry for the fan-out, exactly
-                // like the sequential `apply_actions` path.
+                // One aggregated accounting entry for the whole fan-out;
+                // the per-recipient loop then only decides delivery. The
+                // counter totals are identical to per-recipient
+                // `record_send` calls, so stats fingerprints don't move.
                 let (wire, class) = (msg.wire_size(), msg.class());
                 dom.stats.record_multicast(node, &to, wire, class);
                 for &t in &to {
@@ -1680,11 +1568,13 @@ fn dispatch_window<P: Protocol>(
             }
             Action::Timer { delay, tag } => {
                 let at = (SimTime::ZERO + SimDuration::from_micros(key.0) + delay).as_micros();
-                if at < env.window_end {
+                if env.solo || at < env.window_end {
                     let seq = env.seq_base + dom.provisional;
                     dom.provisional += 1;
                     dom.wheel.insert(TimerEntry { at, seq, node: node.0, tag });
-                    dom.emissions.push(Emission::Exec);
+                    if !env.solo {
+                        dom.emissions.push(Emission::Exec);
+                    }
                 } else {
                     dom.emissions.push(Emission::ArmTimer { at, tag });
                 }
@@ -1703,14 +1593,16 @@ fn dispatch_window<P: Protocol>(
             emi_len,
         });
     }
+    r
 }
 
-/// The window-local routing decision, mirroring `route_unaccounted` step
-/// for step: partition check, counter-mode drop coins (against this
-/// domain's shard of the link counters — the sender always lives here),
+/// The routing decision: partition check, counter-mode drop coins (against
+/// this domain's link counters — the sender always lives here),
 /// reachability, then latency. Drops tally into the domain accumulator and
-/// log nothing; surviving recipients log exactly one seq-consuming
-/// [`Emission`] for the barrier replay.
+/// consume no seq; which attempts bump a link's drop counter, and in what
+/// per-link order, is part of the determinism contract. A surviving
+/// recipient consumes exactly one seq: provisionally and at once when it
+/// executes here, or through a logged [`Emission::Park`] at the barrier.
 fn window_route<M>(
     dom: &mut Domain<M>,
     env: &WindowEnv<'_>,
@@ -1744,11 +1636,13 @@ fn window_route<M>(
         if env.latency_factor == 1.0 { latency } else { latency.mul_f64(env.latency_factor) };
     let at = (SimTime::ZERO + SimDuration::from_micros(now_us) + latency).as_micros();
     let intra = dom.base <= to.0 && to.0 < dom.end;
-    if intra && at < env.window_end {
+    if env.solo || (intra && at < env.window_end) {
         let seq = env.seq_base + dom.provisional;
         dom.provisional += 1;
         dom.push_with_seq(at, seq, DeliveryBody { from, to, msg });
-        dom.emissions.push(Emission::Exec);
+        if !env.solo {
+            dom.emissions.push(Emission::Exec);
+        }
     } else {
         // The lookahead guarantee: a cross-domain delivery can never land
         // inside the window that produced it.
@@ -2434,8 +2328,10 @@ mod tests {
         let (seq_fp, seq_cov) = run(1);
         let (par_fp, par_cov) = run(8);
         assert_eq!(par_fp, seq_fp);
-        // Sequential runs never enter the parallel machinery at all.
-        assert_eq!(seq_cov, ParCoverage::default());
+        // One thread is one domain: its windows never spawn a thread and
+        // never fall back.
+        assert_eq!(seq_cov.windows_parallel, 0);
+        assert_eq!(seq_cov.fallback_entries, 0);
         // The threaded run stayed parallel through the drop phase: windows
         // were scheduled (parallel or inline) and nothing fell back.
         assert!(par_cov.windows_parallel + par_cov.windows_inline > 0);
@@ -2495,8 +2391,8 @@ mod tests {
             sim.run_for(SimDuration::from_millis(120));
             sim.set_partitions(None);
             sim.set_latency_factor(1.0);
-            // A single sequential step mid-flight forces an unshard and a
-            // later re-shard.
+            // A single step mid-flight runs the global-minimum event on
+            // its domain alone.
             sim.step();
             sim.run_for(SimDuration::from_millis(260));
             gossip_fingerprint(&sim)
@@ -2519,11 +2415,17 @@ mod tests {
     #[test]
     fn set_threads_caps_and_reports() {
         let mut sim = gossip_sim(4, 1);
+        sim.start();
         sim.set_threads(16);
         assert_eq!(sim.threads(), 4);
         assert_eq!(sim.domain_of(NodeId(0)), 0);
         assert_eq!(sim.domain_of(NodeId(3)), 3);
+        // Debug reports the events pending across every domain.
+        assert_eq!(sim.pending_events(), 4);
+        assert!(format!("{sim:?}").contains("pending_events: 4"));
         sim.set_threads(1);
         assert_eq!(sim.threads(), 1);
+        assert_eq!(sim.domain_of(NodeId(3)), 0);
+        assert!(format!("{sim:?}").contains("pending_events: 4"));
     }
 }

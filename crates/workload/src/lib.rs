@@ -594,7 +594,8 @@ mod tests {
             ..small_spec()
         };
         let (seq_report, seq_cov) = run_workload_with_coverage(&spec);
-        assert_eq!(seq_cov, ParCoverage::default(), "threads=1 must never shard");
+        assert_eq!(seq_cov.windows_parallel, 0, "threads=1 must never spawn a window");
+        assert_eq!(seq_cov.fallback_entries, 0, "threads=1 must never fall back");
         assert_eq!(seq_report.lost, 0, "drop burst must not lose committed updates");
         for threads in [2usize, 8] {
             let (report, cov) =
